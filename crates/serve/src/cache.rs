@@ -1,27 +1,24 @@
 //! Sharded placement cache keyed by the discretized `(B, I)` pair.
 //!
 //! The paper's 0.1-increment grid (§III) makes the `(B, I)` key space
-//! finite: every `I` vector is grid-quantized by construction and every
-//! named workload's `B` profile sits on grid levels, so a serving process
-//! sees the same keys over and over — hit rates are high by construction.
-//! Keys are the **bit patterns** of the 17 variables plus the raw graph
-//! statistics the `I` vector carries (predictors may read them — the
-//! decision tree's density rule does), so the cache is correct even for
-//! off-grid inputs: distinct key bits never collide, and equal bits give a
-//! predictor byte-identical inputs, implying an identical prediction.
+//! finite, so a serving process sees the same keys over and over. Keys are
+//! the **bit patterns** of the 17 variables plus the raw graph statistics
+//! the `I` vector carries (the decision tree reads them), so the cache is
+//! exact even for off-grid inputs: equal bits mean identical predictor input.
 //!
-//! Shards are independent `Mutex`-protected maps selected by key hash, so
-//! concurrent lookups mostly touch different locks. Each shard runs LRU
-//! eviction against its slice of the configured capacity, and the whole
-//! cache carries a generation counter for explicit invalidation when the
-//! fault plan or predictor changes.
+//! Shards are `Mutex`-protected tables selected by key hash. Each evicts by
+//! CLOCK (second chance) within its share of the capacity: a hit sets the
+//! slot's `referenced` bit; an insert into a full shard sweeps the hand past
+//! referenced slots, clearing their bits, and overwrites the first
+//! unreferenced one in place — amortized O(1) and allocation-free. A
+//! generation counter invalidates the cache on fault-plan/predictor change.
 
 use crate::pad::CacheAligned;
 use heteromap_model::{BVector, IVector, MConfig, BI_DIM};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Multiplier of the FxHash word fold (Firefox's hasher): fast, fixed, and
 /// good enough for keys that are already full-entropy `f64` bit patterns.
@@ -33,16 +30,11 @@ fn fx_fold(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED)
 }
 
-/// Cache key: the exact bit patterns of the 13 B + 4 I variables, plus the
-/// four raw statistics behind the `I` vector (vertices, edges, max degree,
-/// diameter) — everything a [`heteromap_predict::Predictor`] can observe.
-///
-/// The hash of the 21 words is folded once at construction and carried in
-/// the key, so the hot path never re-hashes: shard selection, assembly-lane
-/// selection and the shard `HashMap` (through [`IdentityHasher`]) all reuse
-/// the same precomputed value. The old scheme ran SipHash over all 21 words
-/// twice per lookup (once for the shard, once inside the map) — measurable
-/// at millions of requests per second.
+/// Cache key: the exact bit patterns of the 13 B + 4 I variables plus the
+/// four raw statistics behind `I` — everything a
+/// [`heteromap_predict::Predictor`] can observe. The hash is folded once at
+/// construction, so shard selection, lane selection and the shard index
+/// (through [`IdentityHasher`]) all reuse it without re-hashing.
 #[derive(Debug, Clone, Copy)]
 pub struct PredKey {
     bits: [u64; BI_DIM + 4],
@@ -81,11 +73,6 @@ impl PredKey {
         bits[BI_DIM + 3] = raw.diameter;
         let hash = bits.iter().fold(0u64, |h, &w| fx_fold(h, w));
         PredKey { bits, hash }
-    }
-
-    /// The precomputed 64-bit hash of the key.
-    pub fn hash_value(&self) -> u64 {
-        self.hash
     }
 
     /// Cache-shard index: low hash bits.
@@ -137,7 +124,7 @@ pub struct CachedPrediction {
 pub enum InsertOutcome {
     /// Stored without displacing anything.
     Inserted,
-    /// Stored after evicting the shard's least-recently-used entry.
+    /// Stored after evicting the first unreferenced entry at the clock hand.
     InsertedEvicting,
     /// Dropped: the cache was invalidated after this value was computed.
     StaleGeneration,
@@ -145,108 +132,121 @@ pub enum InsertOutcome {
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<PredKey, Entry, IdentityState>,
-    tick: u64,
+    slots: Vec<Slot>,
+    index: HashMap<PredKey, u32, IdentityState>,
+    hand: usize,
+    capacity: usize,
 }
 
 #[derive(Debug)]
-struct Entry {
+struct Slot {
+    key: PredKey,
     value: CachedPrediction,
-    last_used: u64,
+    referenced: bool,
 }
 
-/// The sharded LRU prediction cache.
-///
-/// Each shard (mutex + map + LRU tick) lives on its own cache line via
-/// [`CacheAligned`], so lock traffic on one shard never false-shares with a
-/// neighbor's.
+/// The sharded CLOCK prediction cache. Each shard sits on its own cache
+/// line via [`CacheAligned`], so shard locks never false-share.
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Vec<CacheAligned<Mutex<Shard>>>,
-    shard_capacity: usize,
     generation: AtomicU64,
 }
 
 impl ShardedCache {
-    /// Creates a cache with `shards` independent shards sharing `capacity`
-    /// total entries (each shard holds `capacity / shards`, minimum 1).
+    /// Creates a cache of `capacity` entries in total (minimum 1), spread
+    /// evenly over `shards` shards, clamped to `1..=capacity` shards.
     pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
+        let capacity = capacity.max(1);
+        let shards = shards.clamp(1, capacity);
+        let shard = |i: usize| Shard {
+            capacity: capacity / shards + usize::from(i < capacity % shards),
+            ..Shard::default()
+        };
         ShardedCache {
-            shard_capacity: (capacity / shards).max(1),
             shards: (0..shards)
-                .map(|_| CacheAligned::new(Mutex::new(Shard::default())))
+                .map(|i| CacheAligned::new(Mutex::new(shard(i))))
                 .collect(),
             generation: AtomicU64::new(0),
         }
     }
 
-    /// The current invalidation generation. Capture it **before** computing
-    /// a value to insert; [`ShardedCache::insert`] drops values computed
-    /// against an older generation.
+    fn shard(&self, key: &PredKey) -> MutexGuard<'_, Shard> {
+        self.shards[key.shard_index(self.shards.len())]
+            .lock()
+            .expect("cache shard poisoned")
+    }
+
+    /// The current invalidation generation. Capture it **before** computing a
+    /// value: [`ShardedCache::insert`] drops values from older generations.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Looks up a prediction, refreshing its LRU position.
+    /// Looks up a prediction, marking it referenced (a warm hit writes nothing).
     pub fn get(&self, key: &PredKey) -> Option<CachedPrediction> {
-        let mut shard = self.shards[key.shard_index(self.shards.len())]
-            .lock()
-            .expect("cache shard poisoned");
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            e.value
-        })
+        let shard = &mut *self.shard(key);
+        let slot = &mut shard.slots[*shard.index.get(key)? as usize];
+        if !slot.referenced {
+            slot.referenced = true;
+        }
+        Some(slot.value)
     }
 
-    /// Inserts a prediction computed at `generation`, evicting the shard's
-    /// LRU entry if the shard is full. Values computed before the last
-    /// invalidation are dropped (their model or fault plan is gone).
+    /// Inserts a prediction computed at `generation`, evicting by CLOCK if the
+    /// shard is full. Values from before the last invalidation are dropped.
     pub fn insert(&self, key: PredKey, value: CachedPrediction, generation: u64) -> InsertOutcome {
         if generation != self.generation() {
             return InsertOutcome::StaleGeneration;
         }
-        let mut shard = self.shards[key.shard_index(self.shards.len())]
-            .lock()
-            .expect("cache shard poisoned");
-        shard.tick += 1;
-        let tick = shard.tick;
-        let mut evicted = false;
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.shard_capacity {
-            if let Some(lru) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                shard.map.remove(&lru);
-                evicted = true;
-            }
+        let shard = &mut *self.shard(&key);
+        if let Some(&at) = shard.index.get(&key) {
+            let slot = &mut shard.slots[at as usize];
+            (slot.value, slot.referenced) = (value, true);
+            return InsertOutcome::Inserted;
         }
-        shard.map.insert(
+        let slot = Slot {
             key,
-            Entry {
-                value,
-                last_used: tick,
-            },
-        );
-        if evicted {
-            InsertOutcome::InsertedEvicting
-        } else {
-            InsertOutcome::Inserted
+            value,
+            referenced: false,
+        };
+        if shard.slots.len() < shard.capacity {
+            shard.index.insert(key, shard.slots.len() as u32);
+            shard.slots.push(slot);
+            if shard.slots.len() == shard.capacity {
+                // Room for capacity/4 tombstones between purges (see below).
+                shard.index.reserve(shard.capacity / 4);
+            }
+            return InsertOutcome::Inserted;
         }
+        while std::mem::take(&mut shard.slots[shard.hand].referenced) {
+            shard.hand = (shard.hand + 1) % shard.capacity;
+        }
+        let victim = shard.hand;
+        shard.hand = (victim + 1) % shard.capacity;
+        shard.index.remove(&shard.slots[victim].key);
+        shard.slots[victim] = slot;
+        if shard.index.len() == shard.index.capacity() {
+            // Removal tombstones used up the spare room, so an insert would
+            // reallocate; rebuilding in place (clear keeps the table) won't.
+            shard.index.clear();
+            let live = shard.slots.iter().enumerate();
+            shard.index.extend(live.map(|(at, s)| (s.key, at as u32)));
+        } else {
+            shard.index.insert(key, victim as u32);
+        }
+        InsertOutcome::InsertedEvicting
     }
 
-    /// Clears every shard and bumps the generation, so in-flight values
-    /// computed against the old model/fault plan can no longer be inserted.
-    /// Returns the new generation.
+    /// Clears every shard and bumps the generation, so values computed before
+    /// it can no longer be inserted. Returns the new generation.
     pub fn invalidate(&self) -> u64 {
         let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
         for shard in &self.shards {
             let mut shard = shard.lock().expect("cache shard poisoned");
-            shard.map.clear();
+            shard.slots.clear();
+            shard.index.clear();
+            shard.hand = 0;
         }
         gen
     }
@@ -255,7 +255,7 @@ impl ShardedCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
+            .map(|s| s.lock().expect("cache shard poisoned").slots.len())
             .sum()
     }
 
@@ -270,6 +270,7 @@ mod tests {
     use super::*;
     use heteromap_graph::GraphStats;
     use heteromap_model::Workload;
+    use proptest::prelude::*;
 
     fn key(seed: u64) -> PredKey {
         let stats = GraphStats::from_known(seed + 1, (seed + 1) * 8, 5, 4);
@@ -379,5 +380,196 @@ mod tests {
         assert_eq!(a.as_array(), b.as_array(), "same grid cell by construction");
         let w = Workload::Bfs.b_vector();
         assert_ne!(PredKey::new(&w, &a), PredKey::new(&w, &b));
+    }
+
+    /// Peeks at a key's `referenced` bit without touching it (`None` if the
+    /// key is absent).
+    fn referenced(cache: &ShardedCache, k: &PredKey) -> Option<bool> {
+        let shard = cache.shard(k);
+        shard
+            .index
+            .get(k)
+            .map(|&at| shard.slots[at as usize].referenced)
+    }
+
+    fn hand(cache: &ShardedCache) -> usize {
+        cache.shards[0].lock().unwrap().hand
+    }
+
+    #[test]
+    fn referenced_entry_survives_one_sweep_and_loses_its_bit() {
+        let cache = ShardedCache::new(1, 3);
+        let (a, b, c) = (key(1), key(2), key(3));
+        for (s, k) in [a, b, c].into_iter().enumerate() {
+            cache.insert(k, value(s as f64 / 10.0), 0);
+        }
+        assert!(cache.get(&a).is_some());
+        assert_eq!(referenced(&cache, &a), Some(true));
+        // The hand passes `a` (clearing its bit) and evicts `b`.
+        assert_eq!(
+            cache.insert(key(4), value(0.4), 0),
+            InsertOutcome::InsertedEvicting
+        );
+        assert_eq!(referenced(&cache, &a), Some(false), "second chance spent");
+        assert_eq!(referenced(&cache, &b), None);
+        // `c` goes next, then `a`: with its bit cleared it gets no third chance.
+        cache.insert(key(5), value(0.5), 0);
+        assert_eq!(referenced(&cache, &c), None);
+        cache.insert(key(6), value(0.6), 0);
+        assert_eq!(referenced(&cache, &a), None);
+        assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn clock_hand_wraps_around() {
+        let cache = ShardedCache::new(1, 2);
+        let (a, b) = (key(1), key(2));
+        cache.insert(a, value(0.1), 0);
+        cache.insert(b, value(0.2), 0);
+        // Both referenced: the sweep clears both bits, wraps to slot 0 and
+        // evicts `a` there.
+        assert!(cache.get(&a).is_some() && cache.get(&b).is_some());
+        cache.insert(key(3), value(0.3), 0);
+        assert_eq!(referenced(&cache, &a), None);
+        assert_eq!(referenced(&cache, &b), Some(false));
+        assert_eq!(hand(&cache), 1);
+        // Evicting from the last slot wraps the hand back to 0.
+        cache.insert(key(4), value(0.4), 0);
+        assert_eq!(referenced(&cache, &b), None);
+        assert_eq!(hand(&cache), 0);
+        assert!(cache.get(&key(3)).is_some() && cache.get(&key(4)).is_some());
+    }
+
+    #[test]
+    fn reinserting_a_present_key_updates_it_in_place() {
+        let cache = ShardedCache::new(1, 2);
+        let (a, b) = (key(1), key(2));
+        cache.insert(a, value(0.1), 0);
+        cache.insert(b, value(0.2), 0);
+        assert_eq!(cache.insert(a, value(0.9), 0), InsertOutcome::Inserted);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.get(&a).unwrap(), value(0.9));
+        assert_eq!(cache.get(&b).unwrap(), value(0.2), "nothing evicted");
+    }
+
+    #[test]
+    fn invalidated_shard_refills_to_capacity_before_evicting() {
+        let cache = ShardedCache::new(1, 3);
+        for s in 0..5 {
+            cache.insert(key(s), value(0.0), 0);
+        }
+        assert_ne!(hand(&cache), 0);
+        let gen = cache.invalidate();
+        assert_eq!(hand(&cache), 0);
+        for s in 10..13 {
+            assert_eq!(
+                cache.insert(key(s), value(0.0), gen),
+                InsertOutcome::Inserted
+            );
+        }
+        assert_eq!(cache.len(), 3);
+        assert_eq!(
+            cache.insert(key(13), value(0.0), gen),
+            InsertOutcome::InsertedEvicting
+        );
+    }
+
+    #[test]
+    fn total_capacity_is_exactly_the_requested_capacity() {
+        let cases = [
+            (16, 65_536),
+            (16, 10),
+            (16, 65_537),
+            (3, 10),
+            (1, 1),
+            (4, 0),
+            (0, 5),
+        ];
+        for (shards, capacity) in cases {
+            let cache = ShardedCache::new(shards, capacity);
+            let caps: Vec<usize> = cache
+                .shards
+                .iter()
+                .map(|s| s.lock().unwrap().capacity)
+                .collect();
+            let want = capacity.max(1);
+            assert_eq!(caps.len(), shards.clamp(1, want), "{shards} x {capacity}");
+            assert_eq!(caps.iter().sum::<usize>(), want, "{shards} x {capacity}");
+            let (lo, hi) = (caps.iter().min().unwrap(), caps.iter().max().unwrap());
+            assert!(hi - lo <= 1, "{shards} x {capacity}: uneven {caps:?}");
+        }
+        assert!(ShardedCache::new(16, 65_536)
+            .shards
+            .iter()
+            .all(|s| s.lock().unwrap().capacity == 4_096));
+        // Filled with far more keys than it holds, the cache holds exactly
+        // `capacity` of them.
+        let cache = ShardedCache::new(16, 10);
+        for s in 0..500 {
+            cache.insert(key(s), value(0.0), 0);
+        }
+        assert_eq!(cache.len(), 10);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random get/insert/invalidate sequences agree with a shadow map and
+        /// keep every shard's slots, index and capacity consistent.
+        #[test]
+        fn cache_matches_shadow_map(
+            shards in 1usize..=4,
+            capacity in 1usize..=12,
+            ops in prop::collection::vec((0u8..=10, 0u64..16), 0..200),
+        ) {
+            let cache = ShardedCache::new(shards, capacity);
+            let mut shadow: HashMap<u64, CachedPrediction> = HashMap::new();
+            let (mut new_keys, mut evictions) = (0usize, 0usize);
+            // Op kinds: 0..=4 get, 5..=8 insert, 9 stale insert, 10 invalidate.
+            for (n, &(kind, k)) in ops.iter().enumerate() {
+                let pk = key(k);
+                let gen = cache.generation();
+                match kind {
+                    0..=4 => {
+                        if let Some(got) = cache.get(&pk) {
+                            prop_assert_eq!(Some(&got), shadow.get(&k));
+                        }
+                    }
+                    5..=8 => {
+                        let (present, full) = {
+                            let shard = cache.shard(&pk);
+                            (shard.index.contains_key(&pk), shard.slots.len() == shard.capacity)
+                        };
+                        let v = value(n as f64);
+                        let outcome = cache.insert(pk, v, gen);
+                        let evicting = !present && full;
+                        prop_assert_eq!(outcome == InsertOutcome::InsertedEvicting, evicting);
+                        prop_assert!(outcome != InsertOutcome::StaleGeneration);
+                        new_keys += usize::from(!present);
+                        evictions += usize::from(evicting);
+                        shadow.insert(k, v);
+                    }
+                    9 => {
+                        let outcome = cache.insert(pk, value(-1.0), gen + 1);
+                        prop_assert_eq!(outcome, InsertOutcome::StaleGeneration);
+                    }
+                    _ => {
+                        cache.invalidate();
+                        shadow.clear();
+                        (new_keys, evictions) = (0, 0);
+                    }
+                }
+                for shard in &cache.shards {
+                    let shard = shard.lock().unwrap();
+                    prop_assert!(shard.slots.len() <= shard.capacity);
+                    prop_assert_eq!(shard.index.len(), shard.slots.len());
+                    for (at, slot) in shard.slots.iter().enumerate() {
+                        prop_assert_eq!(shard.index.get(&slot.key), Some(&(at as u32)));
+                    }
+                }
+            }
+            // Every new key either grew the cache or evicted one entry.
+            prop_assert_eq!(evictions, new_keys - cache.len());
+        }
     }
 }

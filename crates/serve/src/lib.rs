@@ -6,7 +6,7 @@
 //! `(B, I)` pairs over and over (the 0.1-increment grid of §III makes the
 //! key space finite). This crate exploits that:
 //!
-//! * [`cache`] — a sharded LRU cache of predictions keyed by the exact bit
+//! * [`cache`] — a sharded CLOCK cache of predictions keyed by the exact bit
 //!   patterns of the `(B, I)` pair, with generation-based invalidation when
 //!   the fault plan or predictor changes;
 //! * [`engine`] — [`ServeEngine`], which resolves misses through a

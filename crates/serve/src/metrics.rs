@@ -31,7 +31,7 @@ pub struct MetricsRegistry {
     pub cache_hits: Counter,
     /// Cache lookups that fell through to inference.
     pub cache_misses: Counter,
-    /// LRU evictions performed by inserts.
+    /// Evictions performed by inserts.
     pub cache_evictions: Counter,
     /// Explicit invalidations (fault-plan or predictor changes).
     pub cache_invalidations: Counter,
@@ -230,7 +230,7 @@ impl MetricsRegistry {
             ),
             counter(
                 "serve_cache_evictions_total",
-                "LRU evictions",
+                "Cache evictions",
                 &self.cache_evictions,
             ),
             counter(
@@ -365,7 +365,7 @@ pub struct MetricsSnapshot {
     pub cache_misses: u64,
     /// `hits / (hits + misses)` (`NaN` with no lookups).
     pub cache_hit_rate: f64,
-    /// LRU evictions.
+    /// Cache evictions.
     pub cache_evictions: u64,
     /// Explicit invalidations.
     pub cache_invalidations: u64,

@@ -1,7 +1,7 @@
 //! Steady-state zero-allocation regression tests.
 //!
 //! The serving hot path — cache lookup, deterministic deploy, metrics — must
-//! not touch the heap once warm. These tests bracket warm serving with the
+//! not touch the heap once warm, and neither may cache eviction. These tests bracket warm serving with the
 //! obs counting-allocator probe (`alloc-probe` feature, enabled through this
 //! crate's dev-dependencies) and assert the per-thread allocation delta is
 //! exactly zero. If the probe is compiled out the tests skip rather than
@@ -10,8 +10,11 @@
 use heteromap::HeteroMap;
 use heteromap_graph::datasets::Dataset;
 use heteromap_graph::GraphStats;
-use heteromap_model::Workload;
-use heteromap_serve::{ServeConfig, ServeEngine, ServeMode, ServeSource};
+use heteromap_model::{IVector, MConfig, Workload};
+use heteromap_serve::{
+    CachedPrediction, InsertOutcome, PredKey, ServeConfig, ServeEngine, ServeMode, ServeSource,
+    ShardedCache,
+};
 
 fn combos() -> Vec<(Workload, GraphStats)> {
     let mut out = Vec::new();
@@ -103,6 +106,52 @@ fn uncached_neural_inference_is_allocation_free_once_warm() {
         after - before,
         0,
         "uncached warm inference allocated {} times",
+        after - before
+    );
+}
+
+#[test]
+fn warm_cache_eviction_is_allocation_free() {
+    // CLOCK overwrites the victim slot in place and purges index tombstones
+    // without reallocating. 716 entries per shard run each shard's index at
+    // ~70% load, where removals leave tombstones and the purge path runs.
+    if !heteromap_obs::probe_enabled() {
+        eprintln!("alloc-probe feature off; skipping");
+        return;
+    }
+    let capacity = 2 * 716;
+    let cache = ShardedCache::new(2, capacity);
+    let b = Workload::Bfs.b_vector();
+    let keys: Vec<PredKey> = (0..12 * capacity as u64 + 4_096)
+        .map(|s| {
+            let stats = GraphStats::from_known(s + 1, 8 * (s + 1), 5, 4);
+            PredKey::new(&b, &IVector::from_normalized([0.1, 0.2, 0.3, 0.4], stats))
+        })
+        .collect();
+    let value = CachedPrediction {
+        config: MConfig::gpu_default(),
+        fallbacks: 0,
+    };
+    let mut keys = keys.into_iter();
+    // Fill every shard, then warm with one round of evictions.
+    while cache.len() < capacity {
+        cache.insert(keys.next().unwrap(), value, 0);
+    }
+    for key in keys.by_ref().take(capacity) {
+        assert_eq!(cache.insert(key, value, 0), InsertOutcome::InsertedEvicting);
+    }
+
+    let before = heteromap_obs::thread_alloc_count();
+    let mut evicted = 0;
+    for key in keys.by_ref().take(10 * capacity) {
+        evicted += usize::from(cache.insert(key, value, 0) == InsertOutcome::InsertedEvicting);
+    }
+    let after = heteromap_obs::thread_alloc_count();
+    assert_eq!(evicted, 10 * capacity, "every measured insert evicts");
+    assert_eq!(
+        after - before,
+        0,
+        "warm evicting inserts allocated {} times",
         after - before
     );
 }
