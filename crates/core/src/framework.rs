@@ -309,38 +309,14 @@ impl HeteroMap {
         self.rescue_infeasible(self.predictor.predict(b, i), b, i)
     }
 
-    /// Batched form of [`HeteroMap::predict_config`]: one
-    /// [`Predictor::predict_batch`] call covers every query (a single
-    /// matrix-matrix forward pass for the neural predictor), then each
-    /// result falls down the same feasibility chain. Outputs are
-    /// bit-identical to per-query `predict_config`.
-    pub fn predict_configs(&self, queries: &[(BVector, IVector)]) -> Vec<(MConfig, u32)> {
-        let mut raw = Vec::with_capacity(queries.len());
-        let mut out = Vec::with_capacity(queries.len());
-        self.predict_configs_into(queries, &mut raw, &mut out);
-        out
-    }
-
-    /// [`HeteroMap::predict_configs`] writing into caller-provided buffers
-    /// (both cleared first): `raw` holds the predictor's batch output, `out`
-    /// the feasibility-rescued results. A serving loop that reuses the
-    /// buffers runs the whole batched prediction without heap allocation.
-    pub fn predict_configs_into(
-        &self,
-        queries: &[(BVector, IVector)],
-        raw: &mut Vec<MConfig>,
-        out: &mut Vec<(MConfig, u32)>,
-    ) {
-        self.predictor.predict_batch_into(queries, raw);
-        out.clear();
-        out.extend(
-            raw.iter()
-                .zip(queries)
-                .map(|(&config, (b, i))| self.rescue_infeasible(config, b, i)),
-        );
-    }
-
-    fn rescue_infeasible(&self, config: MConfig, b: &BVector, i: &IVector) -> (MConfig, u32) {
+    /// The feasibility chain of [`HeteroMap::predict_config`] applied to
+    /// an already-computed predictor output: `config` itself if every
+    /// dimension is finite, else the §IV decision tree on `(b, i)`, else
+    /// the static default. Returns the chosen configuration and how many
+    /// fallback steps were taken. A serving cache that stores raw predictor
+    /// output runs this per request, so the decision-tree fallback always
+    /// reads the request's own graph statistics.
+    pub fn rescue_infeasible(&self, config: MConfig, b: &BVector, i: &IVector) -> (MConfig, u32) {
         if config_is_feasible(&config) {
             return (config, 0);
         }

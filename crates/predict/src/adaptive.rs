@@ -78,6 +78,10 @@ impl Predictor for AdaptiveLibrary {
             self.multicore_profile
         }
     }
+
+    fn reads_raw_stats(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -87,6 +87,10 @@ impl Predictor for KnnPredictor {
         }
         MConfig::from_array(mean)
     }
+
+    fn reads_raw_stats(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -408,6 +408,10 @@ impl Predictor for NeuralPredictor {
     fn inference_flops(&self) -> usize {
         self.flops_per_inference()
     }
+
+    fn reads_raw_stats(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

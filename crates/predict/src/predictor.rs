@@ -55,6 +55,16 @@ pub trait Predictor {
     fn inference_flops(&self) -> usize {
         0
     }
+
+    /// Whether predictions can depend on the raw graph statistics behind
+    /// `I` ([`IVector::raw`]), not only on the 17 grid values of
+    /// [`features`]. Defaults to `true`, the safe answer. A predictor that
+    /// returns `false` promises bit-identical output for equal feature
+    /// bits, so the serving layer may key its cache on those 17 values
+    /// alone and share one entry across every graph in a `(B, I)` cell.
+    fn reads_raw_stats(&self) -> bool {
+        true
+    }
 }
 
 /// Flattens `(B, I)` into the 17 input features of the paper's Fig. 10
@@ -254,5 +264,56 @@ mod tests {
     #[test]
     fn objective_default_is_performance() {
         assert_eq!(Objective::default(), Objective::Performance);
+    }
+
+    #[test]
+    fn feature_only_predictors_ignore_raw_stats() {
+        use crate::{
+            AdaptiveLibrary, DecisionTree, KnnPredictor, NeuralPredictor, RegressionPredictor,
+            TrainConfig,
+        };
+        let mut set = TrainingSet::new();
+        for (k, w) in Workload::all().into_iter().enumerate() {
+            for d in [Dataset::Facebook, Dataset::UsaCal] {
+                let mut s = sample_for(w, d);
+                if k % 2 == 0 {
+                    s.optimal = MConfig::multicore_default();
+                }
+                set.push(s);
+            }
+        }
+        // One grid cell, two graphs: average degree 2 vs 90.
+        let cell = [0.1, 0.1, 0.0, 0.2];
+        let sparse = IVector::from_normalized(cell, GraphStats::from_known(1_000, 2_000, 5, 4));
+        let dense = IVector::from_normalized(cell, GraphStats::from_known(1_000, 90_000, 5, 4));
+        let b = Workload::Dfs.b_vector();
+        let nn = TrainConfig {
+            hidden: 8,
+            epochs: 20,
+            ..TrainConfig::default()
+        };
+        let feature_only: [Box<dyn Predictor>; 4] = [
+            Box::new(NeuralPredictor::train(&set, nn)),
+            Box::new(RegressionPredictor::train(&set, 2, 1e-3)),
+            Box::new(KnnPredictor::new(&set, 3)),
+            Box::new(AdaptiveLibrary::train(&set)),
+        ];
+        let bits = |m: MConfig| m.as_array().map(f64::to_bits);
+        for p in &feature_only {
+            assert!(!p.reads_raw_stats(), "{}", p.name());
+            assert_eq!(
+                bits(p.predict(&b, &sparse)),
+                bits(p.predict(&b, &dense)),
+                "{}",
+                p.name()
+            );
+        }
+        let tree = DecisionTree::paper();
+        assert!(tree.reads_raw_stats());
+        assert_ne!(
+            tree.predict(&b, &sparse).accelerator,
+            tree.predict(&b, &dense).accelerator,
+            "the tree reads the raw density"
+        );
     }
 }

@@ -135,6 +135,10 @@ impl Predictor for RegressionPredictor {
         }
         MConfig::from_array(arr)
     }
+
+    fn reads_raw_stats(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

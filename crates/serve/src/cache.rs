@@ -2,9 +2,11 @@
 //!
 //! The paper's 0.1-increment grid (§III) makes the `(B, I)` key space
 //! finite, so a serving process sees the same keys over and over. Keys are
-//! the **bit patterns** of the 17 variables plus the raw graph statistics
-//! the `I` vector carries (the decision tree reads them), so the cache is
-//! exact even for off-grid inputs: equal bits mean identical predictor input.
+//! the **bit patterns** of what the installed predictor reads: the 17
+//! variables for predictors that read only those ([`PredKey::features`]),
+//! plus the raw graph statistics behind `I` for the rest ([`PredKey::new`];
+//! the decision tree reads them). The cache is therefore exact even for
+//! off-grid inputs: equal bits mean identical predictor output.
 //!
 //! Shards are `Mutex`-protected tables selected by key hash. Each evicts by
 //! CLOCK (second chance) within its share of the capacity: a hit sets the
@@ -30,8 +32,8 @@ fn fx_fold(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED)
 }
 
-/// Cache key: the exact bit patterns of the 13 B + 4 I variables plus the
-/// four raw statistics behind `I` — everything a
+/// Cache key: the exact bit patterns of the 13 B + 4 I variables and, in
+/// the full scope, the four raw statistics behind `I` — everything a
 /// [`heteromap_predict::Predictor`] can observe. The hash is folded once at
 /// construction, so shard selection, lane selection and the shard index
 /// (through [`IdentityHasher`]) all reuse it without re-hashing.
@@ -57,20 +59,31 @@ impl Hash for PredKey {
 }
 
 impl PredKey {
-    /// Builds the key for one benchmark-input pair.
+    /// Builds the full key for one benchmark-input pair: the 17 variables
+    /// plus the raw statistics, for predictors that read both.
     pub fn new(b: &BVector, i: &IVector) -> Self {
-        let mut bits = [0u64; BI_DIM + 4];
-        for (slot, v) in bits.iter_mut().zip(b.as_array()) {
-            *slot = v.to_bits();
-        }
-        for (slot, v) in bits[13..].iter_mut().zip(i.as_array()) {
-            *slot = v.to_bits();
-        }
         let raw = i.raw();
-        bits[BI_DIM] = raw.vertices;
-        bits[BI_DIM + 1] = raw.edges;
-        bits[BI_DIM + 2] = raw.max_degree;
-        bits[BI_DIM + 3] = raw.diameter;
+        Self::hashed(
+            b,
+            i,
+            [raw.vertices, raw.edges, raw.max_degree, raw.diameter],
+        )
+    }
+
+    /// Builds the feature-only key: the 17 variables alone, for predictors
+    /// whose [`heteromap_predict::Predictor::reads_raw_stats`] is `false`.
+    /// Every graph in one `(B, I)` cell shares this key.
+    pub fn features(b: &BVector, i: &IVector) -> Self {
+        Self::hashed(b, i, [0; 4])
+    }
+
+    fn hashed(b: &BVector, i: &IVector, raw: [u64; 4]) -> Self {
+        let mut bits = [0u64; BI_DIM + 4];
+        let vars = b.as_array().into_iter().chain(i.as_array());
+        for (slot, v) in bits.iter_mut().zip(vars) {
+            *slot = v.to_bits();
+        }
+        bits[BI_DIM..].copy_from_slice(&raw);
         let hash = bits.iter().fold(0u64, |h, &w| fx_fold(h, w));
         PredKey { bits, hash }
     }
@@ -110,7 +123,10 @@ impl Hasher for IdentityHasher {
 pub type IdentityState = BuildHasherDefault<IdentityHasher>;
 
 /// A cached prediction: the machine configuration plus how many predictor
-/// fallback steps produced it (carried into the attempt log on deploy).
+/// fallback steps produced it. The serving engine stores the predictor's
+/// own output here with `fallbacks` 0 and runs the feasibility chain per
+/// request, since its decision-tree fallback reads each request's raw
+/// statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CachedPrediction {
     /// The predicted machine choices.
@@ -380,6 +396,10 @@ mod tests {
         assert_eq!(a.as_array(), b.as_array(), "same grid cell by construction");
         let w = Workload::Bfs.b_vector();
         assert_ne!(PredKey::new(&w, &a), PredKey::new(&w, &b));
+        // Predictors that read only the 17 variables share one entry.
+        assert_eq!(PredKey::features(&w, &a), PredKey::features(&w, &b));
+        let c = IVector::from_normalized([0.1, 0.1, 0.0, 0.3], sparse);
+        assert_ne!(PredKey::features(&w, &a), PredKey::features(&w, &c));
     }
 
     /// Peeks at a key's `referenced` bit without touching it (`None` if the

@@ -5,8 +5,8 @@
 //! process answers repeated `(B, I)` queries without re-running the neural
 //! forward pass:
 //!
-//! * **cache hit** — the stored [`MConfig`] is re-deployed through the
-//!   analytic cost model (deterministic, sub-microsecond) and charged
+//! * **cache hit** — the stored predictor output is re-deployed through
+//!   the analytic cost model (deterministic, sub-microsecond) and charged
 //!   [`ServeConfig::hit_overhead_ms`] of predictor overhead;
 //! * **cache miss** — the predictor runs (optionally batched across
 //!   concurrent misses into one matrix-matrix forward pass, with
@@ -15,10 +15,13 @@
 //!   `inference_flops × flop_ns` (§V-A's overhead accounting made
 //!   deterministic — no wall clock in the placement).
 //!
-//! Because the cache stores the *prediction* and deploy re-runs per request,
-//! every mode returns the same placement for the same (workload, statistics,
-//! fault plan): hits, batched misses and the uncached baseline differ only
-//! in the overhead they charge.
+//! The cache is keyed on exactly what the installed predictor reads (see
+//! [`Predictor::reads_raw_stats`]) and stores the predictor's own output;
+//! the feasibility chain ([`HeteroMap::rescue_infeasible`]) and deploy
+//! re-run per request on that request's statistics. So every mode returns
+//! the same placement as [`HeteroMap::predict_config`] for the same
+//! (workload, statistics, fault plan): hits, batched misses and the
+//! uncached baseline differ only in the overhead they charge.
 
 use crate::cache::{CachedPrediction, IdentityState, InsertOutcome, PredKey, ShardedCache};
 use crate::metrics::{Counter, MetricsRegistry, PeakGauge};
@@ -162,16 +165,16 @@ pub struct ClosedLoopReport {
 /// duplicates block here until the value lands.
 #[derive(Debug, Default)]
 struct Slot {
-    ready: Mutex<Option<CachedPrediction>>,
+    ready: Mutex<Option<MConfig>>,
     cond: Condvar,
 }
 
 impl Slot {
-    fn try_get(&self) -> Option<CachedPrediction> {
+    fn try_get(&self) -> Option<MConfig> {
         *self.ready.lock().expect("slot poisoned")
     }
 
-    fn wait(&self) -> CachedPrediction {
+    fn wait(&self) -> MConfig {
         let mut ready = self.ready.lock().expect("slot poisoned");
         loop {
             if let Some(v) = *ready {
@@ -184,7 +187,7 @@ impl Slot {
     /// Waits at most `timeout` for the value. Owners use this while another
     /// thread leads their lane: the bounded sleep yields the core (vital on
     /// low-core hosts) without risking a missed wakeup hang.
-    fn wait_timeout(&self, timeout: Duration) -> Option<CachedPrediction> {
+    fn wait_timeout(&self, timeout: Duration) -> Option<MConfig> {
         let ready = self.ready.lock().expect("slot poisoned");
         if ready.is_some() {
             return *ready;
@@ -196,7 +199,7 @@ impl Slot {
         *ready
     }
 
-    fn fill(&self, value: CachedPrediction) {
+    fn fill(&self, value: MConfig) {
         *self.ready.lock().expect("slot poisoned") = Some(value);
         self.cond.notify_all();
     }
@@ -248,14 +251,13 @@ impl Lane {
 }
 
 /// Reusable per-thread buffers for batch assembly: the drained items, the
-/// flattened queries and the prediction outputs. Warm after the first batch
+/// flattened queries and the predictor outputs. Warm after the first batch
 /// on each thread, making the miss path allocation-free in steady state too.
 #[derive(Debug, Default)]
 struct AssemblyScratch {
     batch: Vec<BatchItem>,
     queries: Vec<(BVector, IVector)>,
     raw: Vec<MConfig>,
-    preds: Vec<(MConfig, u32)>,
 }
 
 thread_local! {
@@ -276,7 +278,7 @@ const OWNER_WAIT: Duration = Duration::from_micros(100);
 /// then whichever owner takes that lane's leader lock drains up to
 /// [`ServeConfig::max_batch`] queued items — its own and any concurrent
 /// same-lane misses — and resolves them with one batched
-/// [`HeteroMap::predict_configs_into`] call. Misses on different lanes
+/// [`Predictor::predict_batch_into`] call. Misses on different lanes
 /// proceed fully in parallel, which is what keeps batched throughput at or
 /// above plain cached throughput at every thread count.
 #[derive(Debug)]
@@ -390,52 +392,56 @@ impl ServeEngine {
         let start = Instant::now();
         let model = self.model.read().expect("model lock poisoned");
         let i = model.ivector(&ctx.stats);
-        let key = PredKey::new(&ctx.b, &i);
-        let miss_ms = model.predictor().inference_flops() as f64 * self.config.flop_ns * 1e-6;
+        let key = Self::key(&model, &ctx.b, &i);
+        let predictor = model.predictor();
+        let miss_ms = predictor.inference_flops() as f64 * self.config.flop_ns * 1e-6;
 
-        let (prediction, source, overhead_ms) = match self.config.mode {
-            ServeMode::Uncached => {
-                let (config, fallbacks) = model.predict_config(&ctx.b, &i);
-                let pred = CachedPrediction { config, fallbacks };
-                (pred, ServeSource::Computed { batched: false }, miss_ms)
+        let (predicted, source, overhead_ms) = if self.config.mode == ServeMode::Uncached {
+            let predicted = predictor.predict(&ctx.b, &i);
+            (predicted, ServeSource::Computed { batched: false }, miss_ms)
+        } else if let Some(pred) = self.cache.get(&key) {
+            self.metrics.cache_hits.inc();
+            let overhead_ms = self.config.hit_overhead_ms;
+            (pred.config, ServeSource::CacheHit, overhead_ms)
+        } else {
+            self.metrics.cache_misses.inc();
+            if self.config.mode == ServeMode::CachedBatched {
+                let predicted = self.compute_batched(&model, key, ctx.b, i);
+                (predicted, ServeSource::Computed { batched: true }, miss_ms)
+            } else {
+                let generation = self.cache.generation();
+                let predicted = predictor.predict(&ctx.b, &i);
+                self.insert_counted(key, predicted, generation);
+                (predicted, ServeSource::Computed { batched: false }, miss_ms)
             }
-            ServeMode::Cached => match self.cache.get(&key) {
-                Some(pred) => {
-                    self.metrics.cache_hits.inc();
-                    (pred, ServeSource::CacheHit, self.config.hit_overhead_ms)
-                }
-                None => {
-                    self.metrics.cache_misses.inc();
-                    let generation = self.cache.generation();
-                    let (config, fallbacks) = model.predict_config(&ctx.b, &i);
-                    let pred = CachedPrediction { config, fallbacks };
-                    self.insert_counted(key, pred, generation);
-                    (pred, ServeSource::Computed { batched: false }, miss_ms)
-                }
-            },
-            ServeMode::CachedBatched => match self.cache.get(&key) {
-                Some(pred) => {
-                    self.metrics.cache_hits.inc();
-                    (pred, ServeSource::CacheHit, self.config.hit_overhead_ms)
-                }
-                None => {
-                    self.metrics.cache_misses.inc();
-                    let pred = self.compute_batched(&model, key, ctx.b, i);
-                    (pred, ServeSource::Computed { batched: true }, miss_ms)
-                }
-            },
         };
 
-        self.finish(&model, ctx, prediction, source, overhead_ms, opts, start)
+        self.finish(&model, ctx, &i, predicted, source, overhead_ms, opts, start)
+    }
+
+    /// The cache key of `(b, i)` in the scope the installed predictor reads:
+    /// the 17 variables alone unless it reads raw statistics. Callers hold
+    /// the model read lock, and a predictor swap invalidates under the write
+    /// lock, so no cache ever mixes keys of two scopes.
+    fn key(model: &HeteroMap, b: &BVector, i: &IVector) -> PredKey {
+        if model.predictor().reads_raw_stats() {
+            PredKey::new(b, i)
+        } else {
+            PredKey::features(b, i)
+        }
     }
 
     /// Peeks the cache for an already-resolved prediction without running
     /// any inference — the overload-shedding path uses this to serve a
-    /// possibly-stale answer instead of dropping the request.
+    /// possibly-stale answer instead of dropping the request. The cached
+    /// predictor output is passed through the feasibility chain for this
+    /// request's statistics, exactly as a served hit would be.
     pub fn peek_cached(&self, ctx: &WorkloadContext) -> Option<CachedPrediction> {
         let model = self.model.read().expect("model lock poisoned");
         let i = model.ivector(&ctx.stats);
-        self.cache.get(&PredKey::new(&ctx.b, &i))
+        let cached = self.cache.get(&Self::key(&model, &ctx.b, &i))?;
+        let (config, fallbacks) = model.rescue_infeasible(cached.config, &ctx.b, &i);
+        Some(CachedPrediction { config, fallbacks })
     }
 
     /// Deploys an already-cached prediction under [`DeployOptions`],
@@ -445,11 +451,12 @@ impl ServeEngine {
         let start = Instant::now();
         let model = self.model.read().expect("model lock poisoned");
         let i = model.ivector(&ctx.stats);
-        let prediction = self.cache.get(&PredKey::new(&ctx.b, &i))?;
+        let predicted = self.cache.get(&Self::key(&model, &ctx.b, &i))?.config;
         Some(self.finish(
             &model,
             ctx,
-            prediction,
+            &i,
+            predicted,
             ServeSource::StaleHit,
             self.config.hit_overhead_ms,
             opts,
@@ -457,26 +464,23 @@ impl ServeEngine {
         ))
     }
 
-    /// Shared tail of every serving path: deploy the prediction, record
-    /// metrics, and time the request.
+    /// Shared tail of every serving path: run the feasibility chain on the
+    /// predictor output for this request's statistics, deploy the result,
+    /// record metrics, and time the request.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         &self,
         model: &HeteroMap,
         ctx: &WorkloadContext,
-        prediction: CachedPrediction,
+        i: &IVector,
+        predicted: MConfig,
         source: ServeSource,
         overhead_ms: f64,
         opts: DeployOptions,
         start: Instant,
     ) -> Served {
-        let placement = model.deploy_predicted_opts(
-            ctx,
-            prediction.config,
-            overhead_ms,
-            prediction.fallbacks,
-            opts,
-        );
+        let (config, fallbacks) = model.rescue_infeasible(predicted, &ctx.b, i);
+        let placement = model.deploy_predicted_opts(ctx, config, overhead_ms, fallbacks, opts);
         self.metrics.record_placement(&placement);
         // Nanosecond-resolution recording: sub-µs cached serves must land in
         // distinct histogram buckets, not collapse into "1 µs".
@@ -490,8 +494,8 @@ impl ServeEngine {
         }
     }
 
-    /// Resolves one miss through the sharded single-flight/batching
-    /// machinery.
+    /// Resolves one miss to the predictor's output through the sharded
+    /// single-flight/batching machinery.
     ///
     /// The key's hash selects an assembly lane. The first thread to miss a
     /// key owns its slot and reserves a ring position lock-free; duplicates
@@ -504,13 +508,7 @@ impl ServeEngine {
     /// slots only filled — under the lane leader lock, so an owner whose
     /// slot is still empty after taking the lock is guaranteed its item is
     /// still queued.
-    fn compute_batched(
-        &self,
-        model: &HeteroMap,
-        key: PredKey,
-        b: BVector,
-        i: IVector,
-    ) -> CachedPrediction {
+    fn compute_batched(&self, model: &HeteroMap, key: PredKey, b: BVector, i: IVector) -> MConfig {
         let lane: &Lane = &self.lanes[key.lane_index(self.lanes.len())];
         let (slot, owner) = {
             let mut inflight = lane.inflight.lock().expect("inflight lock poisoned");
@@ -540,8 +538,7 @@ impl ServeEngine {
         if let Ok(_lead) = lane.leader.try_lock() {
             if lane.queue.is_empty() {
                 let generation = self.cache.generation();
-                let (config, fallbacks) = model.predict_config(&b, &i);
-                let value = CachedPrediction { config, fallbacks };
+                let value = model.predictor().predict(&b, &i);
                 self.insert_counted(key, value, generation);
                 lane.inflight
                     .lock()
@@ -565,8 +562,7 @@ impl ServeEngine {
         if let Err(item) = lane.queue.push(item) {
             // Ring full (extreme skew onto one lane): resolve inline instead
             // of spinning for a slot.
-            let (config, fallbacks) = model.predict_config(&item.b, &item.i);
-            let value = CachedPrediction { config, fallbacks };
+            let value = model.predictor().predict(&item.b, &item.i);
             self.insert_counted(item.key, value, item.generation);
             lane.inflight
                 .lock()
@@ -605,7 +601,8 @@ impl ServeEngine {
     }
 
     /// Drains up to `max_batch` items from `lane`'s ring and resolves them
-    /// with one batched prediction. Caller must hold the lane's leader lock.
+    /// with one [`Predictor::predict_batch_into`] call. Caller must hold the
+    /// lane's leader lock.
     fn drain_lane(&self, model: &HeteroMap, lane: &Lane) {
         ASSEMBLY.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
@@ -625,7 +622,9 @@ impl ServeEngine {
             scratch
                 .queries
                 .extend(scratch.batch.iter().map(|it| (it.b, it.i)));
-            model.predict_configs_into(&scratch.queries, &mut scratch.raw, &mut scratch.preds);
+            model
+                .predictor()
+                .predict_batch_into(&scratch.queries, &mut scratch.raw);
             self.metrics.batches.inc();
             self.metrics
                 .batched_requests
@@ -634,8 +633,7 @@ impl ServeEngine {
             lane.drains.inc();
             lane.drained_items.add(scratch.batch.len() as u64);
             let mut inflight = lane.inflight.lock().expect("inflight lock poisoned");
-            for (item, &(config, fallbacks)) in scratch.batch.iter().zip(&scratch.preds) {
-                let value = CachedPrediction { config, fallbacks };
+            for (item, &value) in scratch.batch.iter().zip(&scratch.raw) {
                 self.insert_counted(item.key, value, item.generation);
                 inflight.remove(&item.key);
                 item.slot.fill(value);
@@ -644,7 +642,12 @@ impl ServeEngine {
         });
     }
 
-    fn insert_counted(&self, key: PredKey, value: CachedPrediction, generation: u64) {
+    /// Caches a predictor output computed at `generation`.
+    fn insert_counted(&self, key: PredKey, config: MConfig, generation: u64) {
+        let value = CachedPrediction {
+            config,
+            fallbacks: 0,
+        };
         if self.cache.insert(key, value, generation) == InsertOutcome::InsertedEvicting {
             self.metrics.cache_evictions.inc();
         }

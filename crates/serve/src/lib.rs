@@ -6,9 +6,10 @@
 //! `(B, I)` pairs over and over (the 0.1-increment grid of §III makes the
 //! key space finite). This crate exploits that:
 //!
-//! * [`cache`] — a sharded CLOCK cache of predictions keyed by the exact bit
-//!   patterns of the `(B, I)` pair, with generation-based invalidation when
-//!   the fault plan or predictor changes;
+//! * [`cache`] — a sharded CLOCK cache of predictor outputs keyed by the
+//!   exact bit patterns of what the installed predictor reads (the `(B, I)`
+//!   pair, plus raw graph statistics for predictors that read them), with
+//!   generation-based invalidation when the fault plan or predictor changes;
 //! * [`engine`] — [`ServeEngine`], which resolves misses through a
 //!   single-flight, batch-coalescing inference path (one matrix-matrix
 //!   forward pass for many concurrent misses) and charges deterministic
@@ -27,9 +28,10 @@
 //!   persistently failing accelerator. Refusals are typed ([`Rejected`]),
 //!   never silent.
 //!
-//! Because the cache stores predictions and re-runs the deterministic
-//! analytic deploy per request, cached, batched and uncached serving return
-//! identical placements — caching changes cost, never answers.
+//! Because the cache stores predictor outputs and re-runs the feasibility
+//! chain and the deterministic analytic deploy per request, cached, batched
+//! and uncached serving return identical placements — caching changes cost,
+//! never answers.
 //!
 //! # Example
 //!

@@ -6,17 +6,18 @@
 //! at any thread count, while hits charge (near-)zero predictor overhead
 //! and misses charge the full inference cost.
 
+mod common;
+
+use common::{deep_model, deep_nn};
 use heteromap::HeteroMap;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::datasets::Dataset;
 use heteromap_graph::GraphStats;
-use heteromap_model::Workload;
-use heteromap_predict::nn::TrainConfig;
-use heteromap_predict::persist::{read_model, write_model, PersistedModel};
-use heteromap_predict::predictor::Objective;
-use heteromap_predict::{NeuralPredictor, Trainer};
+use heteromap_model::{BVector, IVector, MConfig, Workload};
+use heteromap_predict::{NeuralPredictor, Predictor};
 use heteromap_serve::{ServeConfig, ServeEngine, ServeMode, ServeSource, Served};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// A mixed request stream over every (workload, dataset) combination, with
 /// repeats so caches actually hit. `salt` interleaves the order.
@@ -32,38 +33,6 @@ fn mixed_requests(repeats: usize, salt: usize) -> Vec<(Workload, GraphStats)> {
     (0..combos.len() * repeats)
         .map(|idx| combos[(idx * (salt * 2 + 1)) % combos.len()])
         .collect()
-}
-
-/// The trained deep predictor, trained once per test binary and cloned out
-/// of the model-persistence round trip (training dominates test time;
-/// deserialization is microseconds and bit-exact).
-fn deep_nn() -> NeuralPredictor {
-    static TRAINED: OnceLock<Vec<u8>> = OnceLock::new();
-    let bytes = TRAINED.get_or_init(|| {
-        // Small training run keeps the test fast; the NN still has real
-        // inference_flops, so overhead charging is observable.
-        let system = MultiAcceleratorSystem::primary();
-        let trainer = Trainer::new(system).with_objective(Objective::Performance);
-        let db = trainer.generate_database(40, 9);
-        let config = TrainConfig {
-            hidden: 128,
-            seed: 9,
-            ..TrainConfig::default()
-        };
-        let nn = NeuralPredictor::train(&db, config);
-        let mut out = Vec::new();
-        write_model(&PersistedModel::Nn(nn), &mut out).expect("serialize trained model");
-        out
-    });
-    let PersistedModel::Nn(nn) = read_model(bytes.as_slice()).expect("reload trained model") else {
-        panic!("expected a neural model");
-    };
-    nn
-}
-
-/// A deep-NN HeteroMap over the shared trained predictor.
-fn deep_model() -> HeteroMap {
-    HeteroMap::new(MultiAcceleratorSystem::primary(), Box::new(deep_nn()))
 }
 
 fn deep_engine(mode: ServeMode) -> ServeEngine {
@@ -266,15 +235,73 @@ fn concurrent_identical_misses_single_flight_into_one_inference() {
     }
 }
 
+/// Shared switch of a [`Gated`] predictor.
+#[derive(Default)]
+struct Gate {
+    entered: AtomicBool,
+    open: AtomicBool,
+}
+
+/// Wraps a predictor so that its first `predict` call blocks until the
+/// gate opens: a test can hold a lane's leader inside inference.
+struct Gated {
+    inner: NeuralPredictor,
+    gate: Arc<Gate>,
+}
+
+impl Predictor for Gated {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn predict(&self, b: &BVector, i: &IVector) -> MConfig {
+        if !self.gate.entered.swap(true, Ordering::AcqRel) {
+            while !self.gate.open.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
+        self.inner.predict(b, i)
+    }
+
+    fn inference_flops(&self) -> usize {
+        self.inner.inference_flops()
+    }
+}
+
 #[test]
 fn batched_mode_coalesces_distinct_concurrent_misses() {
-    let engine = deep_engine(ServeMode::CachedBatched);
-    // One pass over all distinct combinations at high concurrency: batches
-    // should form (fewer forward passes than misses) whenever two leaders'
-    // drains overlap; with 16 workers on 81+ combos this is effectively
-    // always, but the assertions below hold even in the degenerate case.
+    // One lane, and a predictor whose first inference blocks: the first
+    // miss holds the lane's leader inside inference while a second,
+    // distinct miss queues behind it, so the submission ring is used at
+    // least once whatever the host's scheduling. The remaining combinations
+    // then run at high concurrency, where drains overlap and batches form;
+    // the assertions below hold even if none do.
+    let gate = Arc::new(Gate::default());
+    let gated = Gated {
+        inner: deep_nn(),
+        gate: Arc::clone(&gate),
+    };
+    let engine = ServeEngine::new(
+        HeteroMap::new(MultiAcceleratorSystem::primary(), Box::new(gated)),
+        ServeConfig::with_mode(ServeMode::CachedBatched).with_lanes(1),
+    );
     let requests = mixed_requests(1, 2);
-    engine.serve_all(&requests, 16);
+    let (overlapping, rest) = requests.split_at(2);
+    std::thread::scope(|scope| {
+        let engine = &engine;
+        let (w, stats) = overlapping[0];
+        scope.spawn(move || engine.schedule_stats(w, stats));
+        while !gate.entered.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let (w, stats) = overlapping[1];
+        scope.spawn(move || engine.schedule_stats(w, stats));
+        while engine.metrics().snapshot().queue_depth_peak == 0 {
+            std::thread::yield_now();
+        }
+        gate.open.store(true, Ordering::Release);
+    });
+    engine.serve_all(rest, 16);
     let snap = engine.metrics().snapshot();
     assert_eq!(snap.cache_misses, requests.len() as u64);
     assert_eq!(snap.batched_requests, requests.len() as u64);

@@ -1,13 +1,18 @@
 //! Steady-state zero-allocation regression tests.
 //!
-//! The serving hot path — cache lookup, deterministic deploy, metrics — must
-//! not touch the heap once warm, and neither may cache eviction. These tests bracket warm serving with the
+//! The serving hot path — cache lookup, per-request feasibility rescue,
+//! deterministic deploy, metrics — must not touch the heap once warm, and
+//! neither may cache eviction. These tests bracket warm serving with the
 //! obs counting-allocator probe (`alloc-probe` feature, enabled through this
 //! crate's dev-dependencies) and assert the per-thread allocation delta is
 //! exactly zero. If the probe is compiled out the tests skip rather than
 //! report a vacuous pass.
 
+mod common;
+
+use common::{deep_model, same_cell_pair, NanFeatures};
 use heteromap::HeteroMap;
+use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::datasets::Dataset;
 use heteromap_graph::GraphStats;
 use heteromap_model::{IVector, MConfig, Workload};
@@ -154,4 +159,50 @@ fn warm_cache_eviction_is_allocation_free() {
         "warm evicting inserts allocated {} times",
         after - before
     );
+}
+
+#[test]
+fn unseen_stats_in_a_cached_cell_are_served_allocation_free() {
+    // Feature-only predictors share one entry per `(B, I)` cell, so a graph
+    // never seen before hits the entry another graph in its cell inserted;
+    // the feasibility chain then runs on the new graph's own statistics.
+    // The NaN predictor makes that chain fall back to the decision tree on
+    // every request.
+    if !heteromap_obs::probe_enabled() {
+        eprintln!("alloc-probe feature off; skipping");
+        return;
+    }
+    let (seed_stats, _) = same_cell_pair();
+    // Same cell as `seed_stats`: a few more edges move no grid value.
+    let unseen: Vec<GraphStats> = (1..=64)
+        .map(|k| GraphStats {
+            edges: seed_stats.edges + k,
+            ..seed_stats
+        })
+        .collect();
+    let model = |name| match name {
+        "deep" => deep_model(),
+        _ => HeteroMap::new(MultiAcceleratorSystem::primary(), Box::new(NanFeatures)),
+    };
+    for name in ["deep", "nan"] {
+        for mode in [ServeMode::Cached, ServeMode::CachedBatched] {
+            let engine = ServeEngine::new(model(name), ServeConfig::with_mode(mode));
+            for _ in 0..2 {
+                engine.schedule_stats(Workload::Dfs, seed_stats);
+            }
+            let before = heteromap_obs::thread_alloc_count();
+            for &stats in &unseen {
+                let served = engine.schedule_stats(Workload::Dfs, stats);
+                assert_eq!(served.source, ServeSource::CacheHit, "{name}/{mode:?}");
+            }
+            let after = heteromap_obs::thread_alloc_count();
+            assert_eq!(
+                after - before,
+                0,
+                "{name}/{mode:?}: serving unseen stats from a cached cell allocated {} times",
+                after - before
+            );
+            assert_eq!(engine.cache_len(), 1, "{name}/{mode:?}: one cell");
+        }
+    }
 }
