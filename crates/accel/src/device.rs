@@ -21,8 +21,7 @@
 use crate::cost::{CostModel, SimReport, WorkloadContext};
 use crate::fault::{DeployError, FaultState};
 use crate::spec::AcceleratorSpec;
-use heteromap_model::{Accelerator, MConfig};
-use std::hash::{Hash, Hasher};
+use heteromap_model::{seed, Accelerator, MConfig};
 
 /// One accelerator instance in a cluster.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,13 +121,7 @@ impl DeviceInstance {
     /// Deterministic draw in `[0, 1)` from the device/job/attempt
     /// fingerprint.
     fn hash_unit(&self, seed: u64, job: u64, attempt: u32, salt: u8) -> f64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        seed.hash(&mut h);
-        (self.id as u64).hash(&mut h);
-        job.hash(&mut h);
-        attempt.hash(&mut h);
-        salt.hash(&mut h);
-        h.finish() as f64 / (u64::MAX as f64 + 1.0)
+        seed::unit(seed::hash((seed, self.id as u64, job, attempt, salt)))
     }
 }
 

@@ -25,7 +25,7 @@
 //! independent per-attempt failures.
 
 use crate::cost::WorkloadContext;
-use heteromap_model::{Accelerator, MConfig};
+use heteromap_model::{seed, Accelerator, MConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -189,7 +189,7 @@ fn hash_unit(
     attempt: u32,
     salt: u8,
 ) -> f64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = seed::hasher();
     seed.hash(&mut h);
     salt.hash(&mut h);
     (accelerator == Accelerator::Gpu).hash(&mut h);
@@ -203,7 +203,7 @@ fn hash_unit(
     for x in cfg.as_array() {
         x.to_bits().hash(&mut h);
     }
-    h.finish() as f64 / (u64::MAX as f64 + 1.0)
+    seed::unit(h.finish())
 }
 
 /// Why a deploy attempt failed.

@@ -12,7 +12,7 @@
 //!
 //! Pass `--smoke` for a CI-sized run (smaller plan, fewer thread counts).
 
-use heteromap_bench::TextTable;
+use heteromap_bench::{stable_digest_runs, TextTable};
 use heteromap_chaos::{ChaosPlan, ChaosReport, ChaosRunner};
 
 const SEED: u64 = 42;
@@ -22,27 +22,6 @@ struct Cell {
     intensity: f64,
     resilient: ChaosReport,
     baseline: ChaosReport,
-}
-
-/// Runs one mode at every thread count, asserting digest stability, and
-/// returns the (identical) report.
-fn run_stable(plan: ChaosPlan, resilient: bool, thread_counts: &[usize]) -> ChaosReport {
-    let runner = ChaosRunner::new(plan, resilient);
-    let reference = runner.run(thread_counts[0]);
-    assert!(reference.fully_accounted(), "every request resolves");
-    for &threads in &thread_counts[1..] {
-        let report = runner.run(threads);
-        assert_eq!(
-            report.digest, reference.digest,
-            "digest diverged at {threads} threads (resilient={resilient})"
-        );
-    }
-    let rerun = runner.run(*thread_counts.last().expect("thread counts"));
-    assert_eq!(
-        rerun.digest, reference.digest,
-        "digest diverged on rerun (resilient={resilient})"
-    );
-    reference
 }
 
 fn shed_rate(r: &ChaosReport) -> f64 {
@@ -75,10 +54,18 @@ fn main() {
         .iter()
         .map(|&intensity| {
             let plan = plan_for(intensity);
+            let run = |resilient: bool| {
+                let runner = ChaosRunner::new(plan, resilient);
+                let label = format!("resilient={resilient}");
+                let report =
+                    stable_digest_runs(&label, thread_counts, |t| runner.run(t), |r| r.digest)[0];
+                assert!(report.fully_accounted(), "every request resolves");
+                report
+            };
             let cell = Cell {
                 intensity,
-                resilient: run_stable(plan, true, thread_counts),
-                baseline: run_stable(plan, false, thread_counts),
+                resilient: run(true),
+                baseline: run(false),
             };
             println!(
                 "intensity {intensity:.1}: resilient goodput {:.3}, baseline {:.3}",

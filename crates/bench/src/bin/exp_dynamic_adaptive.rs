@@ -34,6 +34,7 @@
 //! Writes `BENCH_dyn.json`. Pass `--smoke` for the CI-sized run.
 
 use heteromap::HeteroMap;
+use heteromap_bench::stable_digest_runs;
 use heteromap_dyngraph::{DeltaBatch, DynGraph, DynRunReport, DynRunner, DynRunnerConfig};
 use heteromap_graph::datasets::LiteratureMaxima;
 use heteromap_graph::gen::Densifying;
@@ -234,8 +235,10 @@ fn main() {
             .with_config(runner_config(&spec, threads, adaptive))
             .run(&mut graph, &trace)
     };
-    let adaptive_runs: Vec<DynRunReport> = THREADS.iter().map(|&t| run(t, true)).collect();
-    let static_runs: Vec<DynRunReport> = THREADS.iter().map(|&t| run(t, false)).collect();
+    // Gate 4 holds here: every digest is bit-identical across THREADS and
+    // a rerun, or `stable_digest_runs` exits non-zero.
+    let adaptive_runs = stable_digest_runs("adaptive", &THREADS, |t| run(t, true), |r| r.digest);
+    let static_runs = stable_digest_runs("static", &THREADS, |t| run(t, false), |r| r.digest);
     heteromap_obs::set_metrics_enabled(false);
     let repred_delta = counter_total("dyn_repredictions_total") - repred_before;
     let migr_delta = counter_total("dyn_migrations_total") - migr_before;
@@ -328,16 +331,6 @@ fn main() {
     );
 
     // ---- Gate 4: digests bit-identical across thread budgets ---------
-    for (i, &threads) in THREADS.iter().enumerate().skip(1) {
-        assert_eq!(
-            adaptive_runs[i].digest, adaptive.digest,
-            "GATE: adaptive digest diverged at {threads} threads"
-        );
-        assert_eq!(
-            static_runs[i].digest, static_.digest,
-            "GATE: static digest diverged at {threads} threads"
-        );
-    }
     println!(
         "determinism: adaptive digest {:#018x}, static digest {:#018x}, \
          stable across {THREADS:?} host threads",
@@ -345,7 +338,7 @@ fn main() {
     );
 
     // ---- Gate 5: events visible in obs::metrics ----------------------
-    let runs = THREADS.len() as u64;
+    let runs = adaptive_runs.len() as u64;
     assert_eq!(
         repred_delta,
         runs * adaptive.repredictions,

@@ -14,7 +14,7 @@
 //! Pass `--smoke` for a CI-sized run (smaller trace and cluster, fewer
 //! thread counts).
 
-use heteromap_bench::TextTable;
+use heteromap_bench::{stable_digest_runs, TextTable};
 use heteromap_fleet::{Cluster, FleetReport, FleetSim, FleetTrace, Placer};
 
 const SEED: u64 = 42;
@@ -28,30 +28,6 @@ struct Cell {
     intensity: f64,
     placer: Placer,
     report: FleetReport,
-}
-
-/// Runs one simulator at every thread count, asserting accounting and
-/// digest stability, and returns the (identical) report.
-fn run_stable(sim: &FleetSim, thread_counts: &[usize]) -> FleetReport {
-    let reference = sim.run(thread_counts[0]);
-    assert!(reference.fully_accounted(), "every job resolves");
-    for &threads in &thread_counts[1..] {
-        let report = sim.run(threads);
-        assert_eq!(
-            report.digest,
-            reference.digest,
-            "digest diverged at {threads} threads ({})",
-            sim.placer()
-        );
-    }
-    let rerun = sim.run(*thread_counts.last().expect("thread counts"));
-    assert_eq!(
-        rerun.digest,
-        reference.digest,
-        "digest diverged on rerun ({})",
-        sim.placer()
-    );
-    reference
 }
 
 fn cell_for<'a>(
@@ -93,7 +69,10 @@ fn main() {
         for &intensity in &INTENSITIES {
             for placer in Placer::ALL {
                 let sim = FleetSim::new(trace_for(SEED, intensity), cluster.clone(), placer);
-                let report = run_stable(&sim, thread_counts);
+                let label = sim.placer().to_string();
+                let report =
+                    stable_digest_runs(&label, thread_counts, |t| sim.run(t), |r| r.digest)[0];
+                assert!(report.fully_accounted(), "every job resolves");
                 println!(
                     "{regime}/{intensity:.1} {placer:<11} good {:>4}/{:<4} {:>8.1} jobs/s  \
                      p99 {:>9.1} ms  migr {:>3}",

@@ -29,7 +29,7 @@
 
 use heteromap::{AttemptLog, HeteroMap, Placement};
 use heteromap_accel::cost::WorkloadContext;
-use heteromap_bench::{all_combos, TextTable};
+use heteromap_bench::{all_combos, stable_digest_runs, TextTable};
 use heteromap_chaos::{ChaosPlan, ChaosRunner, ChaosTelemetry};
 use heteromap_fleet::{Cluster, FleetSim, FleetTrace, Placer};
 use heteromap_graph::GraphStats;
@@ -265,39 +265,33 @@ fn main() {
     // ---- Gate 4: determinism with metrics enabled --------------------
     heteromap_obs::set_metrics_enabled(true);
     let chaos_runner = ChaosRunner::new(chaotic_plan, true);
-    let chaos_runs: Vec<ChaosTelemetry> = THREADS
-        .iter()
-        .map(|&t| chaos_runner.run_telemetry(t))
-        .collect();
+    let chaos_runs = stable_digest_runs(
+        "chaos",
+        &THREADS,
+        |t| chaos_runner.run_telemetry(t),
+        |r| r.report.digest,
+    );
     let fleet_sim = FleetSim::new(
         FleetTrace::smoke(chaos_seed, 0.6),
         Cluster::uniform(if smoke { 2 } else { 4 }),
         Placer::Greedy,
     );
-    let fleet_digests: Vec<u64> = THREADS.iter().map(|&t| fleet_sim.run(t).digest).collect();
+    let fleet_digest =
+        stable_digest_runs("fleet", &THREADS, |t| fleet_sim.run(t), |r| r.digest)[0].digest;
     heteromap_obs::set_metrics_enabled(false);
-    for (i, run) in chaos_runs.iter().enumerate().skip(1) {
-        assert_eq!(
-            run.report.digest, chaos_runs[0].report.digest,
-            "GATE: chaos digest diverged at {} threads",
-            THREADS[i]
-        );
+    // `stable_digest_runs` ends with a rerun at the last thread count.
+    let run_threads = THREADS.iter().chain(THREADS.last());
+    for (run, threads) in chaos_runs.iter().zip(run_threads).skip(1) {
         assert_eq!(
             run.prometheus_text(),
             chaos_runs[0].prometheus_text(),
-            "GATE: chaos exposition diverged at {} threads",
-            THREADS[i]
-        );
-        assert_eq!(
-            fleet_digests[i], fleet_digests[0],
-            "GATE: fleet digest diverged at {} threads",
-            THREADS[i]
+            "GATE: chaos exposition diverged at {threads} threads"
         );
     }
     println!(
         "determinism: chaos digest {:#018x} and fleet digest {:#018x} stable across {THREADS:?} \
          threads with metrics enabled",
-        chaos_runs[0].report.digest, fleet_digests[0]
+        chaos_runs[0].report.digest, fleet_digest
     );
 
     // ---- Artifacts ---------------------------------------------------
@@ -336,7 +330,7 @@ fn main() {
     ));
     out.push_str(&format!(
         "  \"fleet_digest\": \"{:#018x}\",\n",
-        fleet_digests[0]
+        fleet_digest
     ));
     out.push_str("  \"exposition_file\": \"obs_exposition.prom\"\n");
     out.push_str("}\n");

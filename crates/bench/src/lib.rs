@@ -69,6 +69,39 @@ pub fn apply_obs_flags(args: impl IntoIterator<Item = String>) -> Vec<String> {
         .collect()
 }
 
+/// Runs a deterministic driver at every thread count in `thread_counts`
+/// and once more at the last, asserting that every run reports the same
+/// digest. Returns the runs in that order (the first is the reference).
+///
+/// # Panics
+///
+/// Panics with `digest diverged at {threads} threads ({label})` (or `on
+/// rerun`) when a digest differs from the first run's.
+pub fn stable_digest_runs<R>(
+    label: &str,
+    thread_counts: &[usize],
+    mut run: impl FnMut(usize) -> R,
+    digest: impl Fn(&R) -> u64,
+) -> Vec<R> {
+    let last = *thread_counts.last().expect("at least one thread count");
+    let runs: Vec<R> = thread_counts
+        .iter()
+        .chain([&last])
+        .map(|&t| run(t))
+        .collect();
+    let want = digest(&runs[0]);
+    for (i, r) in runs.iter().enumerate().skip(1) {
+        let got = digest(r);
+        match thread_counts.get(i) {
+            Some(threads) => {
+                assert_eq!(got, want, "digest diverged at {threads} threads ({label})")
+            }
+            None => assert_eq!(got, want, "digest diverged on rerun ({label})"),
+        }
+    }
+    runs
+}
+
 /// Geometric mean of positive values (the paper's aggregate of choice).
 ///
 /// # Panics
@@ -190,6 +223,43 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geomean_rejects_zero() {
         let _ = geomean(&[1.0, 0.0]);
+    }
+
+    #[test]
+    fn stable_digest_runs_reruns_the_last_thread_count() {
+        let mut seen = Vec::new();
+        let runs = stable_digest_runs(
+            "probe",
+            &[1, 4],
+            |t| {
+                seen.push(t);
+                t
+            },
+            |_| 7,
+        );
+        assert_eq!(runs, vec![1, 4, 4]);
+        assert_eq!(seen, vec![1, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "digest diverged at 4 threads (probe)")]
+    fn stable_digest_runs_rejects_a_diverging_digest() {
+        stable_digest_runs("probe", &[1, 4], |t| t, |&t| t as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "digest diverged on rerun (probe)")]
+    fn stable_digest_runs_rejects_a_diverging_rerun() {
+        let mut calls = 0u64;
+        stable_digest_runs(
+            "probe",
+            &[1, 4],
+            |_| {
+                calls += 1;
+                calls
+            },
+            |&c| u64::from(c == 3),
+        );
     }
 
     #[test]

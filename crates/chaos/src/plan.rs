@@ -11,8 +11,7 @@
 
 use heteromap_accel::{FaultPlan, FaultState};
 use heteromap_graph::datasets::Dataset;
-use heteromap_model::{Accelerator, Workload};
-use std::hash::{Hash, Hasher};
+use heteromap_model::{seed, Accelerator, Workload};
 
 /// The workload pool requests are drawn from.
 pub const WORKLOADS: [Workload; 5] = [
@@ -179,12 +178,7 @@ impl ChaosPlan {
     /// into [`WORKLOADS`] / [`DATASETS`], drawn independently of the fault
     /// schedule.
     pub fn request_for(&self, round: u32, slot: u32) -> (usize, usize) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.seed.hash(&mut h);
-        0x00C0_FFEE_u32.hash(&mut h);
-        round.hash(&mut h);
-        slot.hash(&mut h);
-        let draw = h.finish();
+        let draw = seed::hash((self.seed, 0x00C0_FFEE_u32, round, slot));
         (
             (draw % WORKLOADS.len() as u64) as usize,
             ((draw / WORKLOADS.len() as u64) % DATASETS.len() as u64) as usize,
@@ -193,11 +187,7 @@ impl ChaosPlan {
 
     /// Deterministic draw in `[0, 1)` for one `(episode, salt)` pair.
     fn hash_unit(&self, episode: u32, salt: u8) -> f64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.seed.hash(&mut h);
-        episode.hash(&mut h);
-        salt.hash(&mut h);
-        h.finish() as f64 / (u64::MAX as f64 + 1.0)
+        seed::unit(seed::hash((self.seed, episode, salt)))
     }
 }
 

@@ -306,6 +306,34 @@ impl BreakerBoard {
     }
 }
 
+/// How one request or job resolved in a deterministic round driver (the
+/// chaos harness and the fleet simulator). Each outcome lands in exactly
+/// one bucket, and [`Resolution::tag`] is its value in the run digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resolution {
+    /// Completed within its deadline.
+    Good,
+    /// Resolved, but outside its deadline.
+    Late,
+    /// Every attempt failed (or the migration budget ran out).
+    Failed,
+    /// Refused without running: every breaker open, no targetable device,
+    /// or a deadline no placement could meet.
+    Shed,
+}
+
+impl Resolution {
+    /// The outcome's digest tag (1–4).
+    pub fn tag(self) -> u64 {
+        match self {
+            Resolution::Good => 1,
+            Resolution::Late => 2,
+            Resolution::Failed => 3,
+            Resolution::Shed => 4,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

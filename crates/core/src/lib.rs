@@ -49,7 +49,7 @@ pub mod report;
 pub mod resilient;
 mod telemetry;
 
-pub use breaker::{BreakerBoard, BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerBoard, BreakerConfig, BreakerState, CircuitBreaker, Resolution};
 pub use framework::HeteroMap;
 pub use online::stream_with;
 pub use report::{Placement, StreamReport};

@@ -18,10 +18,9 @@
 //! * [`StaticDefault`] — the end of the predictor fallback chain: a fixed
 //!   default configuration that is always feasible.
 
-use heteromap_model::{Accelerator, BVector, IVector, MConfig};
+use heteromap_model::{seed, Accelerator, BVector, IVector, MConfig};
 use heteromap_predict::Predictor;
 use serde::{Deserialize, Serialize};
-use std::hash::{Hash, Hasher};
 
 /// Retry/backoff policy for transient deploy failures.
 ///
@@ -104,10 +103,7 @@ impl RetryPolicy {
         let growth = self.backoff_multiplier.max(1.0) + 1.0;
         let mut wait = base;
         for k in 1..=retry {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            self.seed.hash(&mut h);
-            k.hash(&mut h);
-            let unit = h.finish() as f64 / (u64::MAX as f64 + 1.0); // [0, 1)
+            let unit = seed::unit(seed::hash((self.seed, k)));
             let hi = (wait * growth).clamp(base, cap);
             wait = base + unit * (hi - base);
         }

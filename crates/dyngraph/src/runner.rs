@@ -37,9 +37,8 @@ use heteromap::{clamp_config_for, HeteroMap};
 use heteromap_accel::WorkloadContext;
 use heteromap_graph::GraphStats;
 use heteromap_kernels::KernelRunner;
-use heteromap_model::{Accelerator, IVector, MConfig, Workload};
+use heteromap_model::{seed, Accelerator, IVector, MConfig, Workload};
 use heteromap_obs::metrics::drift::{DriftConfig, HealthBoard, SeriesDetector, SignalKind};
-use std::hash::Hasher;
 
 /// Fixed number of virtual worker lanes the utilization signal is modeled
 /// over. A constant (rather than the host thread count) so the signal —
@@ -323,8 +322,8 @@ impl<'a> DynRunner<'a> {
                 board.expire(epoch as u64);
             }
 
-            fold_digest(
-                &mut digest,
+            digest = seed::fold(
+                digest,
                 &[
                     epoch as u64,
                     effect.inserted as u64,
@@ -405,17 +404,6 @@ fn max_component_shift(a: &IVector, b: &IVector) -> f64 {
         .zip(b.as_array())
         .map(|(x, y)| (x - y).abs())
         .fold(0.0, f64::max)
-}
-
-/// Order-sensitive digest fold (SipHash with the standard library's fixed
-/// keys, so stable across processes and platforms).
-fn fold_digest(digest: &mut u64, parts: &[u64]) {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    h.write_u64(*digest);
-    for &p in parts {
-        h.write_u64(p);
-    }
-    *digest = h.finish();
 }
 
 #[cfg(test)]

@@ -19,23 +19,22 @@
 //!    pass in slot order.
 //!
 //! The digest chains every `(round, uid, resolution, device, finish,
-//! config)` through one hasher, so two runs agree on the digest iff they
+//! config)` through [`seed::fold`], so two runs agree on the digest iff they
 //! agreed on every single job — the bench asserts it is bit-identical at
 //! 1, 4 and 16 threads.
 
 use crate::cluster::Cluster;
 use crate::placer::{best_candidate, evolve_batch, BatchJob, Placer};
 use crate::trace::{FleetTrace, DATASETS, WORKLOADS};
-use heteromap::{clamp_config_for, BreakerConfig, CircuitBreaker, HeteroMap};
+use heteromap::{clamp_config_for, BreakerConfig, CircuitBreaker, HeteroMap, Resolution};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::{DeployError, FaultState, Occupancy};
-use heteromap_model::MConfig;
+use heteromap_kernels::par::par_map;
+use heteromap_model::{seed, MConfig};
 use heteromap_obs::metrics::{
-    Counter, DriftConfig, Gauge, HealthBoard, SeriesDetector, SignalKind,
+    p99_nearest_rank, Counter, DriftConfig, Gauge, HealthBoard, SeriesDetector, SignalKind,
 };
-use heteromap_tune::{mix, PLACEMENT_SLOTS};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use heteromap_tune::PLACEMENT_SLOTS;
 use std::sync::Arc;
 
 /// Deploy attempts per device before a job gives up and migrates.
@@ -49,32 +48,8 @@ const EVOLVE_BUDGET: usize = 56;
 /// load drains away before the circuit breaker has to trip.
 const DRIFT_PENALTY: f64 = 0.3;
 
-/// How one job resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolution {
-    /// Completed within its deadline.
-    Good,
-    /// Completed outside its deadline.
-    Late,
-    /// Gave up: migration budget exhausted (or the run was cut off).
-    Failed,
-    /// Dropped by deadline-aware shedding or because no device was
-    /// targetable.
-    Shed,
-}
-
-impl Resolution {
-    fn tag(self) -> u64 {
-        match self {
-            Resolution::Good => 1,
-            Resolution::Late => 2,
-            Resolution::Failed => 3,
-            Resolution::Shed => 4,
-        }
-    }
-}
-
-/// Digest tag for a migration re-queue (jobs resolve later).
+/// Digest tag for a migration re-queue (jobs resolve later); follows the
+/// [`Resolution`] tags 1–4.
 const MIGRATE_TAG: u64 = 5;
 
 /// A job waiting for placement.
@@ -440,7 +415,7 @@ impl FleetSim {
                                 job.uid, job.migrations
                             )
                         });
-                        digest = fold(
+                        digest = seed::fold(
                             digest,
                             &[u64::from(round), job.uid, Resolution::Shed.tag(), 0],
                         );
@@ -512,7 +487,7 @@ impl FleetSim {
                             }
                             parts.insert(2, Resolution::Failed.tag());
                         }
-                        digest = fold(digest, &parts);
+                        digest = seed::fold(digest, &parts);
                     }
                 }
             }
@@ -570,7 +545,7 @@ impl FleetSim {
         // Safety net for the drain cap: anything still pending failed.
         for job in pending.iter().chain(requeue.iter()) {
             report.failed += 1;
-            digest = fold(
+            digest = seed::fold(
                 digest,
                 &[u64::from(round), job.uid, Resolution::Failed.tag()],
             );
@@ -592,13 +567,7 @@ impl FleetSim {
         } else {
             f64::NAN
         };
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite sojourns"));
-        report.p99_ms = if times.is_empty() {
-            f64::NAN
-        } else {
-            let rank = ((0.99 * times.len() as f64).ceil() as usize).clamp(1, times.len());
-            times[rank - 1]
-        };
+        report.p99_ms = p99_nearest_rank(&mut times);
         report.breaker_opens = breakers.iter().map(|b| b.opens()).sum();
         report.breaker_closes = breakers.iter().map(|b| b.closes()).sum();
         report.digest = digest;
@@ -606,8 +575,9 @@ impl FleetSim {
     }
 
     /// Evaluates every pending job's outcome on every device across
-    /// workers; slots are pure given the episode snapshot, so only the
-    /// claim order is racy — results are re-sorted by slot.
+    /// workers, in slot order. Slots are pure given the episode snapshot,
+    /// and the attempts are simulated, so no slot enters a parallel region
+    /// of its own (see [`par_map`]).
     fn evaluate_slots(
         &self,
         pending: &[PendingJob],
@@ -615,48 +585,23 @@ impl FleetSim {
         states: &[FaultState],
         threads: usize,
     ) -> Vec<Vec<DeviceOutcome>> {
-        let n = pending.len();
-        let cursor = AtomicUsize::new(0);
-        let workers = threads.min(n.max(1));
-        let mut rows: Vec<(usize, Vec<DeviceOutcome>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            if slot >= n {
-                                break;
-                            }
-                            let job = &pending[slot];
-                            let combo = self.combo(job.wi, job.di);
-                            let row = self
-                                .cluster
-                                .devices()
-                                .iter()
-                                .map(|device| {
-                                    self.resolve_on(
-                                        &self.base[combo].0,
-                                        &quotes[combo][device.id],
-                                        states[device.id],
-                                        device.id,
-                                        job,
-                                    )
-                                })
-                                .collect();
-                            out.push((slot, row));
-                        }
-                        out
-                    })
+        par_map(pending.len(), threads, |slot| {
+            let job = &pending[slot];
+            let combo = self.combo(job.wi, job.di);
+            self.cluster
+                .devices()
+                .iter()
+                .map(|device| {
+                    self.resolve_on(
+                        &self.base[combo].0,
+                        &quotes[combo][device.id],
+                        states[device.id],
+                        device.id,
+                        job,
+                    )
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fleet worker panicked"))
                 .collect()
-        });
-        rows.sort_by_key(|(slot, _)| *slot);
-        rows.into_iter().map(|(_, row)| row).collect()
+        })
     }
 
     /// Resolves one (job, device) pair: up to [`MAX_ATTEMPTS`] attempts
@@ -726,11 +671,8 @@ impl FleetSim {
             Placer::Random => pending
                 .iter()
                 .map(|job| {
-                    let mut h = std::collections::hash_map::DefaultHasher::new();
-                    self.trace.seed.hash(&mut h);
-                    job.uid.hash(&mut h);
-                    0x31_u8.hash(&mut h);
-                    Some((h.finish() % n_dev as u64) as usize)
+                    let draw = seed::hash((self.trace.seed, job.uid, 0x31_u8));
+                    Some((draw % n_dev as u64) as usize)
                 })
                 .collect(),
             Placer::RoundRobin => pending
@@ -787,11 +729,11 @@ impl FleetSim {
                 // between chunks.
                 for (chunk_idx, chunk) in batch.chunks(PLACEMENT_SLOTS).enumerate() {
                     let jobs: Vec<BatchJob> = chunk.iter().map(|(_, v)| v.clone()).collect();
-                    let seed = mix(
+                    let chunk_seed = seed::mix(
                         self.trace.seed ^ 0x0E60_17E5,
                         (u64::from(round) << 8) | chunk_idx as u64,
                     );
-                    let picks = evolve_batch(&jobs, &free, now_ms, seed, EVOLVE_BUDGET);
+                    let picks = evolve_batch(&jobs, &free, now_ms, chunk_seed, EVOLVE_BUDGET);
                     for ((slot, view), pick) in chunk.iter().zip(picks) {
                         let device = view.allowed[pick];
                         free[device] = free[device].max(now_ms) + view.expected_ms[pick];
@@ -895,16 +837,6 @@ impl HubSeries {
             ),
         }
     }
-}
-
-/// Chains `parts` into `digest` through one `DefaultHasher` step.
-fn fold(digest: u64, parts: &[u64]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    digest.hash(&mut h);
-    for p in parts {
-        p.hash(&mut h);
-    }
-    h.finish()
 }
 
 #[cfg(test)]

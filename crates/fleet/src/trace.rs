@@ -15,8 +15,7 @@
 
 use heteromap_accel::FaultState;
 use heteromap_graph::datasets::Dataset;
-use heteromap_model::Workload;
-use std::hash::{Hash, Hasher};
+use heteromap_model::{seed, Workload};
 
 /// The workload pool jobs are drawn from.
 pub const WORKLOADS: [Workload; 5] = [
@@ -130,12 +129,7 @@ impl FleetTrace {
     /// indices into [`WORKLOADS`] / [`DATASETS`], drawn independently of the
     /// fault schedule.
     pub fn job_for(&self, round: u32, k: u32) -> (usize, usize) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.seed.hash(&mut h);
-        0x00F1_EE70_u32.hash(&mut h);
-        round.hash(&mut h);
-        k.hash(&mut h);
-        let draw = h.finish();
+        let draw = seed::hash((self.seed, 0x00F1_EE70_u32, round, k));
         (
             (draw % WORKLOADS.len() as u64) as usize,
             ((draw / WORKLOADS.len() as u64) % DATASETS.len() as u64) as usize,
@@ -164,11 +158,7 @@ impl FleetTrace {
 
     /// Deterministic draw in `[0, 1)` for one `(cell, salt)` pair.
     fn hash_unit(&self, cell: u64, salt: u8) -> f64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.seed.hash(&mut h);
-        cell.hash(&mut h);
-        salt.hash(&mut h);
-        h.finish() as f64 / (u64::MAX as f64 + 1.0)
+        seed::unit(seed::hash((self.seed, cell, salt)))
     }
 }
 

@@ -7,6 +7,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Work-distribution policy for a parallel loop — the host realization of
 /// the paper's `OMP for schedule` machine choice (`M11`) and chunk size
@@ -163,6 +164,38 @@ where
     F: Fn(std::ops::Range<usize>) + Sync,
 {
     Scheduler::Dynamic { grain }.for_each(n, threads, work);
+}
+
+/// Evaluates `f(i)` for every `i` in `0..n` on up to `threads` workers and
+/// returns the results in index order. Workers claim indices one at a time
+/// from a shared cursor, so only *who* computes an index is racy, never
+/// what it yields or where it lands: for a pure `f` the output is
+/// identical at any thread count. This is the slot evaluator of the
+/// deterministic round drivers (chaos, fleet).
+///
+/// `f` must not enter another parallel region: the pool runs one region at
+/// a time and its region lock is not reentrant, so a nested region from
+/// inside `f` deadlocks.
+pub fn par_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    par_dynamic(n, threads.min(n.max(1)), 1, |range| {
+        for i in range {
+            let value = f(i);
+            *slots[i].lock().expect("a slot lock guards one store") = Some(value);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("a slot lock guards one store")
+                .expect("every index evaluated")
+        })
+        .collect()
 }
 
 /// Splits `data` into `threads` contiguous chunks and runs
@@ -360,6 +393,15 @@ mod tests {
     #[test]
     fn par_ranges_with_zero_items_is_noop() {
         par_ranges(0, 4, |_| panic!("no work expected"));
+    }
+
+    #[test]
+    fn par_map_returns_results_in_index_order_at_any_thread_count() {
+        let want: Vec<usize> = (0..97).map(|i| i * i).collect();
+        for threads in [1, 2, 5, 200] {
+            assert_eq!(par_map(97, threads, |i| i * i), want, "threads={threads}");
+        }
+        assert!(par_map(0, 4, |i| i).is_empty());
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   ablation study),
 //! * [`mspace`] — enumeration/sampling of the M search space for autotuning,
 //! * [`workload`] — the named graph benchmarks of Fig. 5 with their
-//!   published/derived B profiles.
+//!   published/derived B profiles,
+//! * [`seed`] — the one seeded hash behind every deterministic draw and
+//!   digest in the workspace.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -25,6 +27,7 @@ pub mod discretize;
 pub mod ivec;
 pub mod mconfig;
 pub mod mspace;
+pub mod seed;
 pub mod workload;
 
 pub use bvec::BVector;

@@ -45,8 +45,8 @@ pub use expose::{
     SeriesValue,
 };
 pub use timeseries::{
-    quantile_from_buckets, Counter, Gauge, Histogram, PeakGauge, WindowRing, WindowStat,
-    BATCH_BOUNDS, COUNTER_SHARDS, LATENCY_BOUNDS_MS, WINDOW_RING_CAPACITY,
+    p99_nearest_rank, quantile_from_buckets, Counter, Gauge, Histogram, PeakGauge, WindowRing,
+    WindowStat, BATCH_BOUNDS, COUNTER_SHARDS, LATENCY_BOUNDS_MS, WINDOW_RING_CAPACITY,
 };
 
 use std::collections::BTreeMap;

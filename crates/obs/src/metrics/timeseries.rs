@@ -263,6 +263,21 @@ pub fn quantile_from_buckets(bounds: &[f64], counts: &[u64], q: f64) -> f64 {
     *bounds.last().expect("histogram has bounds")
 }
 
+/// Nearest-rank 99th percentile of raw samples: sorts `samples` in place
+/// and returns the one at rank `ceil(0.99 n)`, `NaN` when empty.
+///
+/// # Panics
+///
+/// Panics if a sample is NaN.
+pub fn p99_nearest_rank(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("p99 samples are not NaN"));
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    let rank = ((0.99 * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+    samples[rank - 1]
+}
+
 /// Capacity of a [`WindowRing`]: windows retained per series before the
 /// oldest is overwritten, flight-recorder style.
 pub const WINDOW_RING_CAPACITY: usize = 256;
@@ -364,6 +379,17 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.get(), 8000);
+    }
+
+    #[test]
+    fn p99_nearest_rank_picks_the_ceil_rank() {
+        assert!(p99_nearest_rank(&mut []).is_nan());
+        assert_eq!(p99_nearest_rank(&mut [3.0]), 3.0);
+        let mut hundred: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+        assert_eq!(p99_nearest_rank(&mut hundred), 99.0);
+        assert_eq!(hundred[0], 1.0, "samples are sorted in place");
+        let mut hundred_one: Vec<f64> = (1..=101).map(f64::from).collect();
+        assert_eq!(p99_nearest_rank(&mut hundred_one), 100.0);
     }
 
     #[test]

@@ -27,8 +27,8 @@ use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::GraphStats;
 use heteromap_kernels::pool::ThreadPool;
-use heteromap_model::{IVector, MConfig};
-use heteromap_tune::{ensemble, EnsembleTuner, TuneConfig};
+use heteromap_model::{seed, IVector, MConfig};
+use heteromap_tune::{EnsembleTuner, TuneConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,8 +80,8 @@ impl Trainer {
 
     /// Tunes each sample with the `heteromap-tune` ensemble instead of the
     /// legacy coarse sweep. Sample `k` runs with seed
-    /// `mix(config.seed, k)`, so the database stays deterministic per seed
-    /// and identical between the serial and parallel paths.
+    /// `seed::mix(config.seed, k)`, so the database stays deterministic per
+    /// seed and identical between the serial and parallel paths.
     pub fn with_ensemble(mut self, config: TuneConfig) -> Self {
         self.tuner = SampleTuner::Ensemble(config);
         self
@@ -120,7 +120,7 @@ impl Trainer {
                 let config = config
                     .clone()
                     .with_threads(1)
-                    .with_seed(ensemble::mix(config.seed, index as u64));
+                    .with_seed(seed::mix(config.seed, index as u64));
                 let out = EnsembleTuner::new(config).tune(|cfg| self.cost(ctx, cfg));
                 (out.config, out.cost, out.evaluations)
             }

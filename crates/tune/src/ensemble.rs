@@ -21,7 +21,7 @@ use crate::technique::{
 };
 use crate::visited::config_key;
 use heteromap_kernels::pool::ThreadPool;
-use heteromap_model::{MConfig, M_DIM};
+use heteromap_model::{seed, MConfig, M_DIM};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,7 +73,7 @@ impl Strategy {
 
     /// Builds the technique roster, each with its own seed-derived stream.
     fn techniques(self, seed: u64) -> Vec<Box<dyn Technique>> {
-        let s = |k: u64| mix(seed, k);
+        let s = |k: u64| seed::mix(seed, k);
         match self {
             Strategy::Ensemble => vec![
                 Box::new(GridSweep::new(s(5))) as Box<dyn Technique>,
@@ -94,20 +94,6 @@ impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// SplitMix64 step: derives an independent sub-seed from a run seed and a
-/// salt (technique index, sample index, ...). Consumers that fan many
-/// seeded runs out of one master seed (e.g. per-sample tuning in database
-/// generation) use this so each run's stream is independent yet fully
-/// determined by `(seed, salt)`.
-pub fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Parameters of one tuning run.
